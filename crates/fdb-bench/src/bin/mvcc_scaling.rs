@@ -1,6 +1,7 @@
-//! MVCC read-scaling bench: reader throughput at 1/2/4/8 threads with a
-//! concurrent writer, snapshot path vs the two pre-MVCC lock paths,
-//! written to `BENCH_mvcc.json` (CI's bench-smoke job regenerates).
+//! MVCC bench: reader throughput at 1/2/4/8 threads with a concurrent
+//! writer, snapshot path vs the two pre-MVCC lock paths, plus the cost of
+//! a write after publication at growing table sizes, written to
+//! `BENCH_mvcc.json` (CI's bench-smoke job regenerates).
 //!
 //! ```sh
 //! cargo run -p fdb-bench --bin mvcc_scaling --release
@@ -17,11 +18,19 @@
 //! * **mutex** — readers take a `std::sync::Mutex`, the old
 //!   `SharedLoggedDatabase` path: every read fully serialised.
 //!
+//! The write-after-publish arm times fresh `class_list` inserts through
+//! `SharedDatabase::insert`, which publishes a snapshot after every write
+//! so the next write finds its table shared, against `Database::insert`
+//! on an unshared database, at 200 / 2k / 20k / 100k rows (median of
+//! 2,000 inserts each). Copy-on-write at chunk and shard granularity
+//! keeps the shared cost flat in the table size.
+//!
 //! Gates are enforced only when the machine has enough cores to make
 //! scaling physically possible (≥ 5: four readers plus the writer);
 //! below that the numbers are recorded as advisory. With cores, the
 //! snapshot path must scale ≥ 2x from 1→4 reader threads and beat the
-//! mutex path ≥ 1.3x at 4 threads.
+//! mutex path ≥ 1.3x at 4 threads, and a shared insert at 100k rows may
+//! cost at most 4x one at 200 rows.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,6 +45,9 @@ const MEASURE: Duration = Duration::from_millis(250);
 const SCALING_FLOOR: f64 = 2.0;
 const CONTENTION_FLOOR: f64 = 1.3;
 const DOMAIN: u32 = 24;
+const WRITE_ROWS: [usize; 4] = [200, 2_000, 20_000, 100_000];
+const WRITE_OPS: usize = 2_000;
+const FLATNESS_CEILING: f64 = 4.0;
 
 fn v(s: impl std::fmt::Display) -> Value {
     Value::atom(s.to_string())
@@ -68,6 +80,43 @@ fn university() -> (Database, FunctionId, FunctionId) {
             .expect("seed class_list");
     }
     (db, t, p)
+}
+
+/// The pupil triangle with `rows` more `class_list` rows over 400
+/// courses.
+fn class_list_of(rows: usize) -> (Database, FunctionId) {
+    let (mut db, _, _) = university();
+    let c = db.resolve("class_list").expect("class_list");
+    for i in 0..rows {
+        db.insert(c, v(format!("c{}", i % 400)), v(format!("r{i}")))
+            .expect("seed class_list");
+    }
+    (db, c)
+}
+
+/// Median wall time in µs of `WRITE_OPS` fresh `class_list` inserts.
+fn median_insert_us(mut insert: impl FnMut(Value)) -> f64 {
+    let fresh: Vec<Value> = (0..WRITE_OPS).map(|i| v(format!("new{i}"))).collect();
+    let mut ns: Vec<u128> = fresh
+        .into_iter()
+        .map(|y| {
+            let t = Instant::now();
+            insert(std::hint::black_box(y));
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64 / 1e3
+}
+
+/// Direct and shared insert medians (µs) at `rows` `class_list` rows.
+fn write_after_publish(rows: usize) -> (f64, f64) {
+    let (mut db, c) = class_list_of(rows);
+    let direct = median_insert_us(|y| db.insert(c, v("c7"), y).expect("direct insert"));
+    let (db, c) = class_list_of(rows);
+    let shared = SharedDatabase::new(db);
+    let shared_us = median_insert_us(|y| shared.insert(c, v("c7"), y).expect("shared insert"));
+    (direct, shared_us)
 }
 
 /// A tiny deterministic generator for the query mix (no allocation, no
@@ -205,6 +254,12 @@ fn main() {
         }
     }
 
+    let (direct_us, shared_us): (Vec<f64>, Vec<f64>) = WRITE_ROWS
+        .iter()
+        .map(|&rows| write_after_publish(rows))
+        .unzip();
+    let flatness = shared_us[WRITE_ROWS.len() - 1] / shared_us[0].max(1e-9);
+
     let at =
         |tps: &[f64], n: usize| tps[THREAD_COUNTS.iter().position(|&t| t == n).expect("config")];
     let scaling = at(&snapshot_tp, 4) / at(&snapshot_tp, 1).max(1e-9);
@@ -222,6 +277,12 @@ fn main() {
     println!(
         "  snapshot 1->4 scaling {scaling:.2}x (mutex {mutex_scaling:.2}x), snapshot vs mutex at 4 threads {contention_win:.2}x"
     );
+    println!("write after publish, median of {WRITE_OPS} fresh class_list inserts:");
+    println!("     rows  direct_us  shared_us");
+    for (i, rows) in WRITE_ROWS.iter().enumerate() {
+        println!("  {rows:>7} {:>10.2} {:>10.2}", direct_us[i], shared_us[i]);
+    }
+    println!("  shared insert 100k rows vs 200 rows {flatness:.2}x");
 
     let fmt_list = |tps: &[f64]| {
         tps.iter()
@@ -229,8 +290,14 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     };
+    let fmt_us = |us: &[f64]| {
+        us.iter()
+            .map(|t| format!("{t:.2}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let mut json = String::from(
-        "{\n  \"workload\": \"derived pupil truth queries (chain search) at 1/2/4/8 reader threads while one writer churns base facts; snapshot pins vs the pre-MVCC RwLock and Mutex read paths\",\n",
+        "{\n  \"workload\": \"derived pupil truth queries (chain search) at 1/2/4/8 reader threads while one writer churns base facts; snapshot pins vs the pre-MVCC RwLock and Mutex read paths; fresh class_list inserts through SharedDatabase (publishes after each write) vs Database at 200/2k/20k/100k rows\",\n",
     );
     let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"reader_threads\": [1, 2, 4, 8],");
@@ -254,6 +321,15 @@ fn main() {
     let _ = writeln!(json, "  \"snapshot_vs_mutex_at_4\": {contention_win:.2},");
     let _ = writeln!(json, "  \"scaling_floor\": {SCALING_FLOOR},");
     let _ = writeln!(json, "  \"contention_floor\": {CONTENTION_FLOOR},");
+    let _ = writeln!(
+        json,
+        "  \"write_rows\": [{}],",
+        WRITE_ROWS.map(|r| r.to_string()).join(", ")
+    );
+    let _ = writeln!(json, "  \"direct_insert_us\": [{}],", fmt_us(&direct_us));
+    let _ = writeln!(json, "  \"shared_insert_us\": [{}],", fmt_us(&shared_us));
+    let _ = writeln!(json, "  \"shared_insert_100k_vs_200\": {flatness:.2},");
+    let _ = writeln!(json, "  \"flatness_ceiling\": {FLATNESS_CEILING},");
     let _ = writeln!(json, "  \"gates_enforced\": {enforce}");
     json.push_str("}\n");
     std::fs::write("BENCH_mvcc.json", &json).expect("write BENCH_mvcc.json");
@@ -267,6 +343,12 @@ fn main() {
     if scaling < SCALING_FLOOR {
         eprintln!(
             "FAIL: snapshot read scaling 1->4 threads {scaling:.2}x is below the {SCALING_FLOOR}x floor"
+        );
+        failed = true;
+    }
+    if flatness > FLATNESS_CEILING {
+        eprintln!(
+            "FAIL: shared insert at 100k rows costs {flatness:.2}x one at 200 rows, above the {FLATNESS_CEILING}x ceiling"
         );
         failed = true;
     }

@@ -1,11 +1,14 @@
 //! The [`Database`]: schema + derivations + extensional store.
 
 use std::collections::BTreeMap;
+use std::mem::size_of;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use fdb_graph::{minimal_schema, DesignOutcome};
 use fdb_storage::chain::DeletePolicy;
+use fdb_storage::cow::make_mut;
 use fdb_storage::{ChainLimits, Store};
 use fdb_types::{Derivation, FdbError, FunctionId, Result, Schema};
 
@@ -51,10 +54,14 @@ pub enum InsertPolicy {
 /// );
 /// # Ok::<(), fdb_types::FdbError>(())
 /// ```
+///
+/// The schema and the derivation registry sit behind `Arc`s: only DDL
+/// (declarations, derivation registration) detaches them, so cloning a
+/// database to publish a snapshot copies pointers, not the schema.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Database {
-    schema: Schema,
-    derived: BTreeMap<FunctionId, Vec<Derivation>>,
+    schema: Arc<Schema>,
+    derived: Arc<Derivations>,
     store: Store,
     /// Cap applied to chain enumeration in queries and derived updates.
     chain_limits: ChainLimits,
@@ -73,14 +80,17 @@ pub struct Database {
     txn: Option<TxnState>,
 }
 
+/// The derivation registry: derived function → its derivations.
+type Derivations = BTreeMap<FunctionId, Vec<Derivation>>;
+
 /// Cheap metadata snapshot taken at `BEGIN` and at every savepoint: the
 /// store itself is not cloned (its undo journal covers row data), only
-/// the schema and derivation registry plus the journal mark to roll the
-/// store back to.
+/// the schema and derivation registry pointers plus the journal mark to
+/// roll the store back to.
 #[derive(Clone, Debug)]
 struct TxnMeta {
-    schema: Schema,
-    derived: BTreeMap<FunctionId, Vec<Derivation>>,
+    schema: Arc<Schema>,
+    derived: Arc<Derivations>,
     mark: usize,
 }
 
@@ -97,8 +107,8 @@ impl Database {
     pub fn new(schema: Schema) -> Self {
         let store = Store::new(schema.len());
         Database {
-            schema,
-            derived: BTreeMap::new(),
+            schema: Arc::new(schema),
+            derived: Arc::default(),
             store,
             chain_limits: ChainLimits::default(),
             delete_policy: DeletePolicy::default(),
@@ -138,7 +148,9 @@ impl Database {
         range: &str,
         functionality: fdb_types::Functionality,
     ) -> Result<FunctionId> {
-        let id = self.schema.declare(name, domain, range, functionality)?;
+        let id = self
+            .schema_mut()
+            .declare(name, domain, range, functionality)?;
         self.store.ensure_table(id);
         Ok(id)
     }
@@ -191,8 +203,19 @@ impl Database {
                 def.name
             )));
         }
-        self.derived.insert(f, derivations);
+        make_mut(&mut self.derived, |d| {
+            d.len() * size_of::<(FunctionId, Vec<Derivation>)>()
+        })
+        .insert(f, derivations);
         Ok(())
+    }
+
+    /// Copy-on-write access to the schema (DDL only): detaches it from
+    /// published snapshots and open-transaction savepoints sharing it.
+    fn schema_mut(&mut self) -> &mut Schema {
+        make_mut(&mut self.schema, |s| {
+            size_of::<Schema>() + std::mem::size_of_val(s.functions())
+        })
     }
 
     /// Appends one derivation to `f`'s registry (registering `f` as
@@ -301,8 +324,8 @@ impl Database {
 
     fn txn_meta(&self) -> TxnMeta {
         TxnMeta {
-            schema: self.schema.clone(),
-            derived: self.derived.clone(),
+            schema: Arc::clone(&self.schema),
+            derived: Arc::clone(&self.derived),
             mark: self.store.undo_mark(),
         }
     }
@@ -315,7 +338,6 @@ impl Database {
         self.derived = meta.derived;
         self.store.undo_rollback_to(meta.mark);
         self.store.truncate_tables(self.schema.len());
-        self.schema.rebuild_index();
     }
 
     /// Opens a transaction: subsequent updates are journaled and can be
@@ -410,7 +432,6 @@ impl Database {
         self.derived = t.base.derived;
         self.store.undo_abort();
         self.store.truncate_tables(self.schema.len());
-        self.schema.rebuild_index();
         fdb_obs::registry().txn_rollbacks.inc();
         fdb_obs::causal::point("fdb.txn.rollback", String::new);
         Ok(())
@@ -439,7 +460,7 @@ impl Database {
 
     /// Rebuilds in-memory indexes after deserialisation.
     pub fn rebuild_index(&mut self) {
-        self.schema.rebuild_index();
+        self.schema_mut().rebuild_index();
         self.store.rebuild_index();
     }
 

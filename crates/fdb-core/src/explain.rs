@@ -80,7 +80,7 @@ impl Database {
                 &Ungoverned,
             );
             for chain in outcome.value() {
-                let covered = self.store().ncs().chain_covers_some_nc(&chain.facts);
+                let covered = self.store().chain_covers_some_nc(&chain.facts);
                 chains.push(ChainEvidence {
                     derivation: di,
                     facts: chain.facts,
@@ -163,7 +163,7 @@ impl Database {
             for c in &chains {
                 if c.matching == MatchKind::Exact && c.flags == Truth::True {
                     exact_true_chains += 1;
-                } else if self.store().ncs().chain_covers_some_nc(&c.facts) {
+                } else if self.store().chain_covers_some_nc(&c.facts) {
                     nc_demoted_chains += 1;
                 }
             }

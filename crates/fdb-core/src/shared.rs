@@ -11,11 +11,17 @@
 //! admission gate cannot delay a reader by more than the nanoseconds it
 //! takes to swap a pointer.
 //!
-//! **Snapshot lifecycle.** The store is copy-on-write at per-function
-//! granularity (`fdb-storage`), so cloning a [`Database`] is
-//! O(#functions) `Arc` bumps. Each handle keeps a published-snapshot
-//! slot; writers republish after every mutation that moved the store's
-//! monotone version counter, *except* while a transaction is open —
+//! **Snapshot lifecycle.** Cloning a [`Database`] is O(#functions) `Arc`
+//! bumps: schema and derivations sit behind `Arc`s that only DDL
+//! detaches, and the store is copy-on-write per function, then per
+//! 512-row chunk and per index shard inside a table (`fdb-storage`'s
+//! `cow` module; the shard count doubles as a table grows). The first
+//! write after a publication therefore copies a table's pointer spine
+//! plus the one row chunk and index shards it touches, not the table;
+//! the bytes are counted in `fdb.mvcc.cow_bytes_cloned`. Each handle
+//! keeps a published-snapshot slot; writers republish after every
+//! mutation that moved the store's monotone version counter, *except*
+//! while a transaction is open —
 //! uncommitted state is never published, so a reader can never observe a
 //! torn or rolled-back transaction. The open transaction itself still
 //! reads its own uncommitted journal through the write path (its live

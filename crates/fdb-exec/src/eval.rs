@@ -71,7 +71,7 @@ fn derived_truth_impl<G: Governance>(
                 // Top of the truth lattice: complete even after a stop.
                 return Outcome::Complete(Truth::True);
             }
-            if store.ncs().chain_covers_some_nc(&chain.facts) {
+            if store.chain_covers_some_nc(&chain.facts) {
                 fdb_obs::registry().exec_nc_demotions.inc();
             } else {
                 best = Truth::Ambiguous;

@@ -437,6 +437,12 @@ registry! {
         /// reads that the old exclusive-lock design would have stalled,
         /// served instead from the (necessarily slightly stale) snapshot.
         mvcc_stale_snapshot_reads => "fdb.mvcc.stale_snapshot_reads",
+        /// Shallow bytes copied by copy-on-write detaches: a write that
+        /// touches a row chunk, index shard, NC chunk, table or NC-store
+        /// spine, schema or derivation map still shared with a published
+        /// snapshot copies it first (element arrays only, not what the
+        /// elements point to).
+        mvcc_cow_bytes_cloned => "fdb.mvcc.cow_bytes_cloned",
 
         // ---- fdb-core: group commit ----
         /// Batched group fsyncs led on behalf of one or more writers.

@@ -321,7 +321,7 @@ pub(crate) fn derived_truth_impl<G: Governance>(
                 // the answer, so it is complete even after a stop.
                 return Outcome::Complete(Truth::True);
             }
-            if !store.ncs().chain_covers_some_nc(&chain.facts) {
+            if !store.chain_covers_some_nc(&chain.facts) {
                 best = Truth::Ambiguous;
             }
         }

@@ -27,6 +27,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod chain;
+pub mod cow;
 pub mod fact;
 pub mod nc;
 pub mod nvc;

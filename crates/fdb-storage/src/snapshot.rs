@@ -5,10 +5,10 @@
 //! per-function table and the NC store sit behind `Arc`s inside the
 //! store, so the "copy" is a round of reference-count bumps. The first
 //! write the live store makes to a function *after* a snapshot was taken
-//! detaches just that function's table (`Arc::make_mut`), which is what
-//! makes publication copy-on-write at per-function-extension
-//! granularity: a commit that touched two functions shares every other
-//! table with all outstanding snapshots.
+//! detaches that function's table spine, then only the row chunk and
+//! index shards it touches ([`crate::cow`]): a commit that touched two
+//! functions shares every other table with all outstanding snapshots,
+//! and shares every untouched chunk and shard of the two it touched.
 //!
 //! Readers holding a snapshot see a state that can never change —
 //! there is no locking, no torn read, and no coordination with writers.
@@ -124,6 +124,69 @@ mod tests {
         assert!(!s.shares_table_with(snap.store(), f(0)));
         assert!(s.shares_table_with(snap.store(), f(1)));
         assert!(s.shares_table_with(snap.store(), f(2)));
+    }
+
+    #[test]
+    fn publication_is_copy_on_write_per_chunk_and_shard() {
+        let mut s = Store::new(2);
+        for i in 0..5_000 {
+            s.base_insert(f(0), v(&format!("c{}", i % 700)), v(&format!("s{i}")));
+        }
+        s.base_insert(f(1), v("a"), v("b"));
+        // The first write after the first publication splits the indexes
+        // of the then unshared-built table.
+        let first = s.snapshot();
+        s.base_insert(f(0), v("c0"), v("warm"));
+        assert_eq!(first.table(f(0)).part_counts()[1..], [1, 1, 1]);
+        let parts = s.table(f(0)).part_counts();
+        assert!(
+            parts.iter().all(|&n| n > 1),
+            "multi-chunk, multi-shard: {parts:?}"
+        );
+        let snap = s.snapshot();
+
+        // An append detaches the last row chunk and one shard per index.
+        s.base_insert(f(0), v("c1"), v("fresh"));
+        assert_eq!(s.table(f(0)).unshared_parts(snap.table(f(0))), [1, 1, 1, 1]);
+        assert!(s.shares_table_with(snap.store(), f(1)));
+
+        // A flag write in an old row detaches that row's chunk and no shard.
+        let snap = s.snapshot();
+        let i = s.table(f(0)).position(&v("c3"), &v("s3")).unwrap();
+        s.table_mut(f(0)).set_truth(i, Truth::Ambiguous);
+        assert_eq!(s.table(f(0)).unshared_parts(snap.table(f(0))), [1, 0, 0, 0]);
+        assert_eq!(
+            snap.base_truth(&Fact::new(f(0), "c3", "s3")),
+            Truth::True,
+            "the snapshot keeps its chunk"
+        );
+
+        // A delete tombstones one row and drops one `index` entry.
+        let snap = s.snapshot();
+        s.base_delete(f(0), &v("c4"), &v("s4"));
+        assert_eq!(s.table(f(0)).unshared_parts(snap.table(f(0))), [1, 1, 0, 0]);
+        assert!(snap.table(f(0)).contains(&v("c4"), &v("s4")));
+    }
+
+    #[test]
+    fn derived_delete_detaches_only_the_newest_nc_chunk() {
+        let mut s = Store::new(1);
+        for i in 0..300 {
+            s.base_insert(f(0), v(&format!("x{i}")), v("y"));
+            s.create_nc(vec![Fact::new(f(0), format!("x{i}").as_str(), "y")]);
+        }
+        let snap = s.snapshot();
+        let id = s.create_nc(vec![Fact::new(f(0), "x0", "y")]);
+        let newest = id.0 >> crate::nc::NC_CHUNK_BITS;
+        assert!(newest > 1);
+        for c in 0..newest {
+            assert!(
+                s.ncs().shares_chunk(snap.ncs(), c),
+                "chunk {c} stays shared"
+            );
+        }
+        assert!(!s.ncs().shares_chunk(snap.ncs(), newest));
+        assert!(!snap.ncs().contains(id));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use fdb_types::{FunctionId, NullGen, Value};
 
+use crate::cow::make_mut;
 use crate::fact::Fact;
 use crate::nc::{NcId, NcStore};
 use crate::table::Table;
@@ -58,10 +59,20 @@ impl CompactionPolicy {
 /// Tables and the NC store sit behind [`Arc`]s so cloning a store is
 /// O(#functions) pointer bumps, not O(#facts) — the basis of the MVCC
 /// snapshot read path (see [`crate::snapshot::Snapshot`]). Mutators go
-/// through [`Arc::make_mut`], which copies a table only on the *first*
-/// write after a snapshot was taken (copy-on-write at per-function
-/// granularity). The `Arc`s serialize transparently as their contents,
-/// so the JSON snapshot format is unchanged.
+/// through [`crate::cow::make_mut`], so the first write to a table after
+/// a snapshot was taken detaches only that table's *spine* (its lists of
+/// chunk and shard pointers), and then only the row chunk and the index
+/// shards the write touches. A [`Table`] keeps its rows in `Arc`'d
+/// chunks of 512 rows and each index in `Arc`'d hash shards; before a
+/// write detaches a shard of an index averaging more than 512 entries
+/// per shard, the index doubles its shard count (as often as needed), so
+/// the shard copied stays bounded as the table grows. The [`NcStore`]
+/// keeps its NCs in `Arc`'d chunks of 64 by index range. A write after
+/// publication therefore copies O(table/512) pointers plus one chunk or
+/// shard per structure it touches, never the table; every such copy is
+/// counted, in shallow bytes, in `fdb.mvcc.cow_bytes_cloned`. The `Arc`s
+/// serialize transparently as their contents, so the JSON snapshot
+/// format is unchanged.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Store {
     tables: Vec<Arc<Table>>,
@@ -114,7 +125,7 @@ impl Store {
     /// Rebuilds all table indexes (after deserialisation).
     pub fn rebuild_index(&mut self) {
         for t in &mut self.tables {
-            Arc::make_mut(t).rebuild_index();
+            make_mut(t, Table::spine_bytes).rebuild_index();
         }
     }
 
@@ -126,15 +137,16 @@ impl Store {
         }
     }
 
-    /// Copy-on-write access to the table at raw index `i`: clones the
-    /// table iff a snapshot still shares it.
+    /// Copy-on-write access to the table at raw index `i`: detaches the
+    /// table's spine iff a snapshot still shares it (its chunks and
+    /// shards stay shared until written).
     fn tab(&mut self, i: usize) -> &mut Table {
-        Arc::make_mut(&mut self.tables[i])
+        make_mut(&mut self.tables[i], Table::spine_bytes)
     }
 
-    /// Copy-on-write access to the NC store.
+    /// Copy-on-write access to the NC store (spine only, as for tables).
     fn ncs_cow(&mut self) -> &mut NcStore {
-        Arc::make_mut(&mut self.ncs)
+        make_mut(&mut self.ncs, NcStore::spine_bytes)
     }
 
     /// Number of allocated tables (declared functions may trail behind
@@ -172,7 +184,7 @@ impl Store {
     /// table from any live snapshot before handing out the reference).
     pub fn table_mut(&mut self, f: FunctionId) -> &mut Table {
         self.ensure_table(f);
-        Arc::make_mut(&mut self.tables[f.index()])
+        self.tab(f.index())
     }
 
     /// The NC store.
@@ -309,7 +321,7 @@ impl Store {
             if let Some(t) = self
                 .tables
                 .get_mut(fact.function.index())
-                .map(Arc::make_mut)
+                .map(|t| make_mut(t, Table::spine_bytes))
             {
                 if let Some(i) = t.position(&fact.x, &fact.y) {
                     let detached = t.row(i).is_some_and(|r| r.ncl.contains(&id));
@@ -346,7 +358,7 @@ impl Store {
                 if let Some(j) = self.journal.as_mut() {
                     j.push(UndoOp::RowAppended { f });
                 }
-                self.tab(f.index()).insert(x, y);
+                self.tab(f.index()).append(x, y);
             }
             Some(i) => {
                 let (prior, ncl): (Truth, Vec<NcId>) = table
@@ -675,6 +687,32 @@ impl Store {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
+    }
+
+    /// `true` if some live NC is a subset of `chain` — the §3.2 test
+    /// that disqualifies a chain from making a derived fact ambiguous
+    /// ([`NcStore::chain_covers_some_nc`] states it over the NC store).
+    ///
+    /// Answered through the dual structure of §4: an NC inside the chain
+    /// is listed in the NCL of each of its conjuncts, which are rows of
+    /// the chain. Only the NCs on the chain's own rows are checked, so
+    /// the cost follows those NCLs, not the number of live NCs. (NCs are
+    /// never empty: each negates a chain of at least one fact.)
+    pub fn chain_covers_some_nc(&self, chain: &[Fact]) -> bool {
+        chain.iter().any(|fact| {
+            let Some(t) = self.tables.get(fact.function.index()) else {
+                return false;
+            };
+            t.position(&fact.x, &fact.y)
+                .and_then(|i| t.row(i))
+                .is_some_and(|row| {
+                    row.ncl.iter().any(|&id| {
+                        self.ncs
+                            .get(id)
+                            .is_some_and(|nc| nc.iter().all(|f| chain.contains(f)))
+                    })
+                })
+        })
     }
 
     /// Number of live base facts currently flagged ambiguous.

@@ -4,13 +4,21 @@
 //! printed in insertion order) and are tombstoned on delete so row indices
 //! remain stable within one table. Lookup indexes by domain value, range
 //! value, and null-valuedness support the chain traversal of [`crate::chain`].
+//!
+//! Rows live in fixed-size `Arc`'d chunks and each index in `Arc`'d hash
+//! shards ([`crate::cow`]), so a write to a table that a published
+//! snapshot still shares copies one row chunk and one shard per index it
+//! touches, not the table.
 
 use std::collections::{BTreeSet, HashMap};
+use std::mem::size_of;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use fdb_types::Value;
 
+use crate::cow::{make_mut, Chunked, Shards};
 use crate::nc::NcId;
 use crate::truth::Truth;
 
@@ -38,23 +46,51 @@ pub struct RowView<'t> {
 }
 
 /// The extensional table of one base function.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Serializes as `{"rows": [...]}`, the row log in insertion order; the
+/// indexes are rebuilt by [`Table::rebuild_index`] after loading.
+#[derive(Clone, Debug, Default)]
 pub struct Table {
-    rows: Vec<Row>,
-    #[serde(skip)]
-    index: HashMap<(Value, Value), usize>,
-    #[serde(skip)]
-    by_x: HashMap<Value, Vec<usize>>,
-    #[serde(skip)]
-    by_y: HashMap<Value, Vec<usize>>,
-    #[serde(skip)]
-    null_x: Vec<usize>,
-    #[serde(skip)]
-    null_y: Vec<usize>,
-    #[serde(skip)]
+    rows: Chunked<Row>,
+    index: Shards<(Value, Value), usize>,
+    by_x: Shards<Value, Bucket>,
+    by_y: Shards<Value, Bucket>,
+    null_x: Chunked<usize>,
+    null_y: Chunked<usize>,
     live: usize,
-    #[serde(skip)]
     dead: usize,
+}
+
+/// The ascending row indices sharing one domain (or range) value. Behind
+/// an `Arc` so that copying an index shard copies pointers; a write then
+/// copies only the bucket it changes.
+type Bucket = Arc<Vec<usize>>;
+
+fn bucket_mut(b: &mut Bucket) -> &mut Vec<usize> {
+    make_mut(b, |b| b.len() * size_of::<usize>())
+}
+
+impl Serialize for Table {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![(
+            Content::Str("rows".to_string()),
+            Content::Seq(self.rows.iter().map(Serialize::to_content).collect()),
+        )])
+    }
+}
+
+impl Deserialize for Table {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let m = c
+            .as_map()
+            .ok_or_else(|| DeError::new("Table: expected map"))?;
+        let rows =
+            serde::map_get(m, "rows").ok_or_else(|| DeError::new("Table: missing field `rows`"))?;
+        Ok(Table {
+            rows: Vec::<Row>::from_content(rows)?.into_iter().collect(),
+            ..Table::default()
+        })
+    }
 }
 
 /// Cheap per-table statistics for the chain planner (`fdb-exec`).
@@ -83,65 +119,89 @@ impl Table {
         Self::default()
     }
 
+    /// Shallow size of the table's spines: what detaching the table from
+    /// a snapshot copies before any chunk or shard is detached.
+    pub(crate) fn spine_bytes(&self) -> usize {
+        size_of::<Table>()
+            + self.rows.spine_bytes()
+            + self.index.spine_bytes()
+            + self.by_x.spine_bytes()
+            + self.by_y.spine_bytes()
+            + self.null_x.spine_bytes()
+            + self.null_y.spine_bytes()
+    }
+
     /// Rebuilds the lookup indexes from the row log (after deserialising).
     pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        self.by_x.clear();
-        self.by_y.clear();
-        self.null_x.clear();
-        self.null_y.clear();
-        self.live = 0;
-        self.dead = 0;
+        let live = self.rows.iter().filter(|r| r.alive).count();
+        self.index = Shards::with_capacity(live);
+        self.by_x = Shards::default();
+        self.by_y = Shards::default();
+        self.null_x = Chunked::default();
+        self.null_y = Chunked::default();
+        self.live = live;
+        self.dead = self.rows.len() - live;
         for i in 0..self.rows.len() {
-            if self.rows[i].alive {
-                self.live += 1;
-                self.index_row(i);
-            } else {
-                self.dead += 1;
+            if let Some(r) = self.rows.get(i).filter(|r| r.alive) {
+                let (x, y) = (r.x.clone(), r.y.clone());
+                self.index_row(i, x, y);
             }
         }
     }
 
-    fn index_row(&mut self, i: usize) {
-        let (x, y) = (self.rows[i].x.clone(), self.rows[i].y.clone());
-        self.index.insert((x.clone(), y.clone()), i);
-        self.by_x.entry(x.clone()).or_default().push(i);
-        self.by_y.entry(y.clone()).or_default().push(i);
+    fn alive(&self, i: usize) -> bool {
+        self.rows.get(i).is_some_and(|r| r.alive)
+    }
+
+    /// Enters row `i`, holding `(x, y)`, into every index.
+    fn index_row(&mut self, i: usize, x: Value, y: Value) {
         if x.is_null() {
             self.null_x.push(i);
         }
         if y.is_null() {
             self.null_y.push(i);
         }
+        for (by, v) in [(&mut self.by_x, &x), (&mut self.by_y, &y)] {
+            by.upsert(v.clone(), || Arc::new(vec![i]), |b| bucket_mut(b).push(i));
+        }
+        self.index.insert((x, y), i);
     }
 
     /// Inserts `(x, y)` with flag `T` and empty NCL, or returns the index
     /// of the already-present row. The boolean is `true` if a new row was
     /// created.
     pub fn insert(&mut self, x: Value, y: Value) -> (usize, bool) {
-        if let Some(&i) = self.index.get(&(x.clone(), y.clone())) {
-            return (i, false);
+        match self.position(&x, &y) {
+            Some(i) => (i, false),
+            None => (self.append(x, y), true),
         }
+    }
+
+    /// Appends `(x, y)`, which must be absent, as a fresh row with flag
+    /// `T` and empty NCL; returns its index.
+    pub(crate) fn append(&mut self, x: Value, y: Value) -> usize {
+        debug_assert!(!self.contains(&x, &y), "append of a present pair");
         let i = self.rows.len();
         self.rows.push(Row {
-            x,
-            y,
+            x: x.clone(),
+            y: y.clone(),
             truth: Truth::True,
             ncl: BTreeSet::new(),
             alive: true,
         });
         self.live += 1;
-        self.index_row(i);
-        (i, true)
+        self.index_row(i, x, y);
+        i
     }
 
     /// Removes `(x, y)` if present, returning the NCL it carried.
     pub fn remove(&mut self, x: &Value, y: &Value) -> Option<BTreeSet<NcId>> {
         let i = self.index.remove(&(x.clone(), y.clone()))?;
-        self.rows[i].alive = false;
+        let r = self.rows.get_mut(i)?;
+        r.alive = false;
         self.live -= 1;
         self.dead += 1;
-        Some(std::mem::take(&mut self.rows[i].ncl))
+        Some(std::mem::take(&mut r.ncl))
     }
 
     /// Index of the live row `(x, y)`, if present.
@@ -165,11 +225,20 @@ impl Table {
         })
     }
 
+    /// Mutable access to the row at `i` if it is alive (detaching its
+    /// chunk only then).
+    fn live_row_mut(&mut self, i: usize) -> Option<&mut Row> {
+        if !self.alive(i) {
+            return None;
+        }
+        self.rows.get_mut(i)
+    }
+
     /// Truth flag of a live pair ([`Truth::False`] if absent — absent base
     /// facts are false, §3.2).
     pub fn truth_of(&self, x: &Value, y: &Value) -> Truth {
-        match self.position(x, y) {
-            Some(i) => self.rows[i].truth,
+        match self.position(x, y).and_then(|i| self.rows.get(i)) {
+            Some(r) => r.truth,
             None => Truth::False,
         }
     }
@@ -177,21 +246,17 @@ impl Table {
     /// Sets the truth flag of a live row.
     pub fn set_truth(&mut self, i: usize, truth: Truth) {
         debug_assert!(truth != Truth::False, "stored rows are never false");
-        if let Some(r) = self.rows.get_mut(i) {
-            if r.alive {
-                r.truth = truth;
-            }
+        if let Some(r) = self.live_row_mut(i) {
+            r.truth = truth;
         }
     }
 
     /// Adds an NC to a live row's NCL (and flags the row ambiguous, per
     /// `create-NC`).
     pub fn attach_nc(&mut self, i: usize, nc: NcId) {
-        if let Some(r) = self.rows.get_mut(i) {
-            if r.alive {
-                r.ncl.insert(nc);
-                r.truth = Truth::Ambiguous;
-            }
+        if let Some(r) = self.live_row_mut(i) {
+            r.ncl.insert(nc);
+            r.truth = Truth::Ambiguous;
         }
     }
 
@@ -199,6 +264,9 @@ impl Table {
     /// `dismantle-NC`, the flag is *not* reset: the member facts remain
     /// ambiguous until a direct insert asserts them true.
     pub fn detach_nc(&mut self, i: usize, nc: NcId) {
+        if !self.rows.get(i).is_some_and(|r| r.ncl.contains(&nc)) {
+            return;
+        }
         if let Some(r) = self.rows.get_mut(i) {
             r.ncl.remove(&nc);
         }
@@ -215,12 +283,13 @@ impl Table {
         truth: Truth,
         ncl: BTreeSet<NcId>,
     ) -> Option<usize> {
-        if self.index.contains_key(&(x.clone(), y.clone())) {
+        if self.contains(&x, &y) {
             return None;
         }
-        let (i, _) = self.insert(x, y);
-        self.rows[i].truth = truth;
-        self.rows[i].ncl = ncl;
+        let i = self.append(x, y);
+        let r = self.rows.get_mut(i).expect("the row was just appended");
+        r.truth = truth;
+        r.ncl = ncl;
         Some(i)
     }
 
@@ -239,27 +308,21 @@ impl Table {
         self.index.remove(&(r.x.clone(), r.y.clone()));
         // Bucket vectors hold ascending row indices, so the popped row's
         // entry — if present — is the bucket's last element.
-        if let Some(b) = self.by_x.get_mut(&r.x) {
-            if b.last() == Some(&i) {
-                b.pop();
-            }
-            if b.is_empty() {
-                self.by_x.remove(&r.x);
-            }
-        }
-        if let Some(b) = self.by_y.get_mut(&r.y) {
-            if b.last() == Some(&i) {
-                b.pop();
-            }
-            if b.is_empty() {
-                self.by_y.remove(&r.y);
+        for (by, v) in [(&mut self.by_x, &r.x), (&mut self.by_y, &r.y)] {
+            let emptied = by.get_mut(v).is_some_and(|b| {
+                if b.last() == Some(&i) {
+                    bucket_mut(b).pop();
+                }
+                b.is_empty()
+            });
+            if emptied {
+                by.remove(v);
             }
         }
-        if self.null_x.last() == Some(&i) {
-            self.null_x.pop();
-        }
-        if self.null_y.last() == Some(&i) {
-            self.null_y.pop();
+        for nulls in [&mut self.null_x, &mut self.null_y] {
+            if nulls.last() == Some(&i) {
+                nulls.pop();
+            }
         }
         self.live -= 1;
     }
@@ -346,13 +409,13 @@ impl Table {
     /// Width of the `by_x` index bucket for `v` — an O(1) upper bound on
     /// `rows_with_x(v).count()` (tombstoned entries are not subtracted).
     pub fn x_width(&self, v: &Value) -> usize {
-        self.by_x.get(v).map_or(0, Vec::len)
+        self.by_x.get(v).map_or(0, |b| b.len())
     }
 
     /// Width of the `by_y` index bucket for `v` — an O(1) upper bound on
     /// `rows_with_y(v).count()`.
     pub fn y_width(&self, v: &Value) -> usize {
-        self.by_y.get(v).map_or(0, Vec::len)
+        self.by_y.get(v).map_or(0, |b| b.len())
     }
 
     /// `true` if the table has no live rows.
@@ -366,9 +429,9 @@ impl Table {
         self.by_x
             .get(v)
             .into_iter()
-            .flatten()
+            .flat_map(|b| b.iter())
             .copied()
-            .filter(move |&i| self.rows[i].alive)
+            .filter(move |&i| self.alive(i))
     }
 
     /// Indices of live rows whose range value equals `v` exactly.
@@ -377,31 +440,29 @@ impl Table {
         self.by_y
             .get(v)
             .into_iter()
-            .flatten()
+            .flat_map(|b| b.iter())
             .copied()
-            .filter(move |&i| self.rows[i].alive)
+            .filter(move |&i| self.alive(i))
     }
 
     /// Indices of live rows whose domain value is a null.
     pub fn rows_with_null_x(&self) -> impl Iterator<Item = usize> + '_ {
-        self.null_x
-            .iter()
-            .copied()
-            .filter(move |&i| self.rows[i].alive)
+        self.null_x.iter().copied().filter(move |&i| self.alive(i))
     }
 
     /// Indices of live rows whose range value is a null.
     pub fn rows_with_null_y(&self) -> impl Iterator<Item = usize> + '_ {
-        self.null_y
-            .iter()
-            .copied()
-            .filter(move |&i| self.rows[i].alive)
+        self.null_y.iter().copied().filter(move |&i| self.alive(i))
     }
 
     /// Indices of all live rows.
     pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
         fdb_obs::registry().storage_table_scans.inc();
-        (0..self.rows.len()).filter(move |&i| self.rows[i].alive)
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.alive)
+            .map(|(i, _)| i)
     }
 
     /// Number of tombstoned rows awaiting compaction (O(1)).
@@ -420,6 +481,33 @@ impl Table {
         fdb_obs::registry().storage_compactions.inc();
         self.rows.retain(|r| r.alive);
         self.rebuild_index();
+    }
+
+    /// How many row chunks and index shards (`index`, `by_x`, `by_y`) of
+    /// `self` are not shared with `other` — the copy-on-write tests'
+    /// measure of what a write detached.
+    #[cfg(test)]
+    pub(crate) fn unshared_parts(&self, other: &Table) -> [usize; 4] {
+        let chunks = (0..self.rows.chunk_count())
+            .filter(|&c| !self.rows.shares_chunk(&other.rows, c))
+            .count();
+        [
+            chunks,
+            self.index.unshared_shards(&other.index),
+            self.by_x.unshared_shards(&other.by_x),
+            self.by_y.unshared_shards(&other.by_y),
+        ]
+    }
+
+    /// Row chunks and index shards (`index`, `by_x`, `by_y`).
+    #[cfg(test)]
+    pub(crate) fn part_counts(&self) -> [usize; 4] {
+        [
+            self.rows.chunk_count(),
+            self.index.shard_count(),
+            self.by_x.shard_count(),
+            self.by_y.shard_count(),
+        ]
     }
 }
 

@@ -164,6 +164,34 @@ proptest! {
         }
     }
 
+    /// The NCL walk of `Store::chain_covers_some_nc` agrees with the scan
+    /// over every live NC (`NcStore::chain_covers_some_nc`) on every
+    /// one- and two-fact chain of stored rows.
+    #[test]
+    fn nc_coverage_via_ncls_matches_the_full_scan(
+        ops in proptest::collection::vec(arb_op(), 0..40),
+    ) {
+        let mut store = Store::new(2);
+        for op in &ops {
+            apply(&mut store, op);
+        }
+        let facts = |f: FunctionId| -> Vec<Fact> {
+            store.table(f).rows().map(|r| Fact::new(f, r.x.clone(), r.y.clone())).collect()
+        };
+        let (teach, class_list) = (facts(TEACH), facts(CLASS_LIST));
+        let singles = teach.iter().chain(&class_list).map(|f| vec![f.clone()]);
+        let pairs = teach
+            .iter()
+            .flat_map(|t| class_list.iter().map(move |c| vec![t.clone(), c.clone()]));
+        for chain in singles.chain(pairs) {
+            prop_assert_eq!(
+                store.chain_covers_some_nc(&chain),
+                store.ncs().chain_covers_some_nc(&chain),
+                "chain {:?}", chain
+            );
+        }
+    }
+
     /// Derived-insert is idempotent at the instance level: repeating it
     /// changes neither the fact count nor the null count.
     #[test]
