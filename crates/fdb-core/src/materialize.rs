@@ -35,7 +35,7 @@ impl MaterializedExtension {
     pub fn new(db: &Database, f: FunctionId) -> Result<Self> {
         Ok(MaterializedExtension {
             function: f,
-            snapshot: SupportSnapshot::capture(db.store(), &db.support_functions(f)),
+            snapshot: SupportSnapshot::capture(db.store(), db.support_functions(f)),
             pairs: db.extension(f)?,
         })
     }
@@ -57,7 +57,7 @@ impl MaterializedExtension {
         if !self.is_stale(db) {
             return Ok(false);
         }
-        self.snapshot = SupportSnapshot::capture(db.store(), &db.support_functions(self.function));
+        self.snapshot = SupportSnapshot::capture(db.store(), db.support_functions(self.function));
         self.pairs = db.extension(self.function)?;
         Ok(true)
     }

@@ -50,15 +50,15 @@ pub struct SupportSnapshot {
 
 impl SupportSnapshot {
     /// Captures the current counters of `support` from `store`.
-    pub fn capture<'a, I>(store: &Store, support: I) -> Self
+    pub fn capture<I>(store: &Store, support: I) -> Self
     where
-        I: IntoIterator<Item = &'a FunctionId>,
+        I: IntoIterator<Item = FunctionId>,
     {
         SupportSnapshot {
             store_version: store.version(),
             entries: support
                 .into_iter()
-                .map(|f| (*f, store.function_version(*f)))
+                .map(|f| (f, store.function_version(f)))
                 .collect(),
         }
     }
@@ -206,18 +206,19 @@ impl ResultCache {
     }
 
     /// The truth of `f(x) = y`, from cache when the support set is
-    /// unchanged, else from `compute`.
-    pub fn truth_or_compute<'a, I>(
+    /// unchanged, else from `compute`. `support` yields `f`'s support set;
+    /// it is called only on a miss, so a hit allocates nothing for it.
+    pub fn truth_or_compute<I>(
         &mut self,
         store: &Store,
         f: FunctionId,
-        support: I,
+        support: impl FnOnce() -> I,
         x: &Value,
         y: &Value,
         compute: impl FnOnce() -> Truth,
     ) -> Truth
     where
-        I: IntoIterator<Item = &'a FunctionId>,
+        I: IntoIterator<Item = FunctionId>,
     {
         let key = (f, x.clone(), y.clone());
         if let Some(entry) = self.truths.get(&key) {
@@ -235,23 +236,24 @@ impl ResultCache {
         self.stats.misses += 1;
         fdb_obs::registry().cache_misses.inc();
         fdb_obs::causal::point("fdb.cache.miss", || format!("truth f={}", f.0));
-        let snapshot = SupportSnapshot::capture(store, support);
+        let snapshot = SupportSnapshot::capture(store, support());
         let value = compute();
         self.truths.insert(key, Entry { snapshot, value });
         value
     }
 
     /// The extension of `f`, from cache when the support set is
-    /// unchanged, else from `compute`.
-    pub fn extension_or_compute<'a, I>(
+    /// unchanged, else from `compute`. `support` is called only on a
+    /// miss, as for [`ResultCache::truth_or_compute`].
+    pub fn extension_or_compute<I>(
         &mut self,
         store: &Store,
         f: FunctionId,
-        support: I,
+        support: impl FnOnce() -> I,
         compute: impl FnOnce() -> Vec<DerivedPair>,
     ) -> Vec<DerivedPair>
     where
-        I: IntoIterator<Item = &'a FunctionId>,
+        I: IntoIterator<Item = FunctionId>,
     {
         if let Some(entry) = self.extensions.get(&f) {
             if entry.snapshot.is_stale(store) {
@@ -268,7 +270,7 @@ impl ResultCache {
         self.stats.misses += 1;
         fdb_obs::registry().cache_misses.inc();
         fdb_obs::causal::point("fdb.cache.miss", || format!("extension f={}", f.0));
-        let snapshot = SupportSnapshot::capture(store, support);
+        let snapshot = SupportSnapshot::capture(store, support());
         let value = compute();
         self.extensions.insert(
             f,
@@ -299,21 +301,27 @@ mod tests {
         let mut s = Store::new(4);
         s.base_insert(F0, v("a"), v("b"));
         s.base_insert(F1, v("b"), v("c"));
-        let support = [F0, F1];
+        // The support set is read only on a miss.
+        let support_reads = std::cell::Cell::new(0);
+        let support = || {
+            support_reads.set(support_reads.get() + 1);
+            [F0, F1]
+        };
         let mut cache = ResultCache::new();
         let mut computes = 0;
         for _ in 0..2 {
-            cache.truth_or_compute(&s, PUPIL, &support, &v("a"), &v("c"), || {
+            cache.truth_or_compute(&s, PUPIL, support, &v("a"), &v("c"), || {
                 computes += 1;
                 Truth::True
             });
         }
         assert_eq!(computes, 1);
         assert_eq!(cache.stats().hits, 1);
+        assert_eq!(support_reads.get(), 1);
 
         // A write to an unrelated function keeps the entry valid…
         s.base_insert(OTHER, v("x"), v("y"));
-        cache.truth_or_compute(&s, PUPIL, &support, &v("a"), &v("c"), || {
+        cache.truth_or_compute(&s, PUPIL, support, &v("a"), &v("c"), || {
             computes += 1;
             Truth::True
         });
@@ -322,12 +330,13 @@ mod tests {
 
         // …while a write inside the support set invalidates it.
         s.base_insert(F0, v("a2"), v("b"));
-        cache.truth_or_compute(&s, PUPIL, &support, &v("a"), &v("c"), || {
+        cache.truth_or_compute(&s, PUPIL, support, &v("a"), &v("c"), || {
             computes += 1;
             Truth::True
         });
         assert_eq!(computes, 2);
         assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(support_reads.get(), 2);
     }
 
     #[test]
@@ -336,14 +345,14 @@ mod tests {
         s.base_insert(F0, v("a"), v("b"));
         s.base_insert(F1, v("b"), v("c"));
         let snap = s.snapshot();
-        let support = [F0, F1];
+        let support = || [F0, F1];
         let mut cache = ResultCache::new();
         let mut computes = 0;
         // Writes to the live store — even inside the support set — are
         // invisible through the snapshot: its stamp is frozen, so every
         // lookup takes the O(1) fast path and hits.
         for _ in 0..3 {
-            cache.truth_or_compute(snap.store(), PUPIL, &support, &v("a"), &v("c"), || {
+            cache.truth_or_compute(snap.store(), PUPIL, support, &v("a"), &v("c"), || {
                 computes += 1;
                 Truth::True
             });
@@ -354,7 +363,7 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 0);
         // The same cache consulted against the moved-on live store sees
         // the support-set change and recomputes.
-        cache.truth_or_compute(&s, PUPIL, &support, &v("a"), &v("c"), || {
+        cache.truth_or_compute(&s, PUPIL, support, &v("a"), &v("c"), || {
             computes += 1;
             Truth::True
         });
@@ -366,9 +375,9 @@ mod tests {
         let mut s = Store::new(4);
         s.base_insert(F0, v("a"), v("b"));
         s.base_insert(F1, v("b"), v("c"));
-        let support = [F0, F1];
+        let support = || [F0, F1];
         let mut cache = ResultCache::new();
-        let first = cache.extension_or_compute(&s, PUPIL, &support, Vec::new);
+        let first = cache.extension_or_compute(&s, PUPIL, support, Vec::new);
         assert!(first.is_empty());
         // create_nc bumps the conjuncts' functions.
         s.create_nc(vec![fdb_storage::Fact {
@@ -377,7 +386,7 @@ mod tests {
             y: v("c"),
         }]);
         let mut recomputed = false;
-        cache.extension_or_compute(&s, PUPIL, &support, || {
+        cache.extension_or_compute(&s, PUPIL, support, || {
             recomputed = true;
             Vec::new()
         });

@@ -47,8 +47,9 @@ pub struct Engine {
     cancel: CancelToken,
     /// Dependency-aware cache of derived truth/extension answers, keyed
     /// by the support set's per-function mutation counters. Entries
-    /// survive writes outside the support set; `LOAD` clears it (a
-    /// loaded store is a different lineage, so counters are not
+    /// survive writes outside the support set; `LOAD`, `PROMOTE` and
+    /// attaching or detaching a replica clear it (the store statements
+    /// read is then a different lineage, so counters are not
     /// comparable). Rollback (`ABORT` / `ROLLBACK TO`) needs no clearing
     /// either, for the opposite reason: undoing *advances* the store's
     /// version counters — a rollback is a fresh version event — so every
@@ -156,14 +157,19 @@ impl Engine {
     }
 
     /// Attaches a replica, flipping the engine read-only (see
-    /// [`Engine::with_replica`]).
+    /// [`Engine::with_replica`]). The result cache is cleared: its
+    /// entries are keyed by the previous store's counters, which are not
+    /// comparable with the replica's.
     pub fn attach_replica(&mut self, replica: Replica) {
         self.replica = Some(replica);
+        self.cache.clear();
     }
 
     /// Detaches and returns the replica, restoring the engine's own
-    /// database as the serving surface.
+    /// database as the serving surface and clearing the result cache, as
+    /// [`Engine::attach_replica`] does.
     pub fn detach_replica(&mut self) -> Option<Replica> {
+        self.cache.clear();
         self.replica.take()
     }
 
@@ -285,12 +291,6 @@ impl Engine {
             self.cancel.reset();
         }
         let t0 = Instant::now();
-        let _span = fdb_obs::tracer().span("fdb.lang.statement", || {
-            line.split_whitespace()
-                .next()
-                .unwrap_or("")
-                .to_ascii_uppercase()
-        });
         // Mint the causal trace for this statement: root of a fresh
         // trace when the sampling draw wins, child span inside a
         // SOURCEd script's trace, inert otherwise (zero allocation).
@@ -476,13 +476,12 @@ impl Engine {
                 // cancel flag) must reach the governed path, and partial
                 // answers are never cached.
                 if read.is_derived(f) && self.deadline.is_none() && !self.cancel.is_cancelled() {
-                    let support = read.support_functions(f);
-                    let db = read;
+                    let support = || read.support_functions(f);
                     let mut err = None;
                     let t = self
                         .cache
-                        .truth_or_compute(db.store(), f, &support, &vx, &vy, || {
-                            db.truth(f, &vx, &vy).unwrap_or_else(|e| {
+                        .truth_or_compute(read.store(), f, support, &vx, &vy, || {
+                            read.truth(f, &vx, &vy).unwrap_or_else(|e| {
                                 err = Some(e);
                                 fdb_storage::Truth::False
                             })
@@ -513,13 +512,12 @@ impl Engine {
                 };
                 let f = read.resolve(&function)?;
                 if read.is_derived(f) {
-                    let support = read.support_functions(f);
-                    let db = read;
+                    let support = || read.support_functions(f);
                     let mut err = None;
                     let pairs = self
                         .cache
-                        .extension_or_compute(db.store(), f, &support, || {
-                            db.extension(f).unwrap_or_else(|e| {
+                        .extension_or_compute(read.store(), f, support, || {
+                            read.extension(f).unwrap_or_else(|e| {
                                 err = Some(e);
                                 Vec::new()
                             })
@@ -567,7 +565,6 @@ impl Engine {
             }
             Statement::StatsReset => {
                 fdb_obs::registry().reset();
-                fdb_obs::tracer().clear();
                 // The causal ring, open-span table, and slow-query log
                 // reset with the metrics: `SHOW TRACE` reads empty
                 // until new statements record (this statement's own
@@ -1832,6 +1829,59 @@ mod tests {
         );
         // A second PROMOTE has nothing to promote.
         assert!(e.execute_line("PROMOTE").is_err());
+    }
+
+    #[test]
+    fn result_cache_does_not_outlive_a_change_of_store() {
+        use fdb_core::{LoggedDatabase, SimDisk, WalStorage};
+        use fdb_repl::{Replica, ReplicationSource};
+        use std::sync::Arc;
+
+        // The engine's own database and the replica's run the same number
+        // of statements of the same shape, so their store versions and
+        // per-function counters coincide; only the student differs.
+        let schema = [
+            "DECLARE teach: faculty -> course (many-many)",
+            "DECLARE class_list: course -> student (many-many)",
+            "DECLARE pupil: faculty -> student (many-many)",
+            "DERIVE pupil = teach o class_list",
+        ];
+        let mut e = Engine::new();
+        for line in schema {
+            e.execute_line(line).unwrap();
+        }
+        e.execute_line("INSERT teach(euclid, math)").unwrap();
+        e.execute_line("INSERT class_list(math, john)").unwrap();
+
+        let disk = Arc::new(SimDisk::new());
+        let storage: Arc<dyn WalStorage> = Arc::clone(&disk) as _;
+        let (mut p, _) =
+            LoggedDatabase::open_with(Arc::clone(&storage), "/p", Default::default()).unwrap();
+        let many = || "many-many".parse().unwrap();
+        p.declare("teach", "faculty", "course", many()).unwrap();
+        p.declare("class_list", "course", "student", many())
+            .unwrap();
+        p.declare("pupil", "faculty", "student", many()).unwrap();
+        p.derive("pupil", &[("teach", false), ("class_list", false)])
+            .unwrap();
+        p.insert("teach", Value::atom("euclid"), Value::atom("math"))
+            .unwrap();
+        p.insert("class_list", Value::atom("math"), Value::atom("bill"))
+            .unwrap();
+        let mut replica = Replica::open(Arc::clone(&storage), "/r").unwrap();
+        let mut src = ReplicationSource::for_primary(&p);
+        let batch = src.poll(replica.next_seq(), 10_000).unwrap();
+        replica.apply_batch(&batch).unwrap();
+
+        // Cache the own database's answer, then read through the replica.
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, john)").unwrap(), "T\n");
+        e.attach_replica(replica);
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, john)").unwrap(), "F\n");
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bill)").unwrap(), "T\n");
+        // Back on the own database, the replica's answers are gone too.
+        assert!(e.detach_replica().is_some());
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bill)").unwrap(), "F\n");
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, john)").unwrap(), "T\n");
     }
 
     #[test]

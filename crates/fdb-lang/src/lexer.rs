@@ -2,17 +2,20 @@
 //!
 //! Every token carries its byte-offset [`Span`] within the line, so
 //! parse errors and `fdb-check` diagnostics can point at `line:col`
-//! instead of just naming the line.
+//! instead of just naming the line. Tokens borrow their text from the
+//! line; only a string literal with a `\` escape owns its unescaped text.
+
+use std::borrow::Cow;
 
 use fdb_types::{FdbError, Result, Span};
 
-/// One lexical token.
+/// One lexical token, borrowing its text from the lexed line.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (`teach`, `INSERT`, `many-many`, `85`).
-    Ident(String),
+    Ident(&'a str),
     /// Double-quoted string literal (quotes stripped, `\"` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `(`.
     LParen,
     /// `)`.
@@ -37,18 +40,32 @@ pub enum Token {
 
 /// A token plus the byte range it occupies in the source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Tok {
+pub struct Tok<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Its byte span within the lexed line.
     pub span: Span,
 }
 
+/// An upper bound on the number of tokens in `line`, so the token vector
+/// is allocated once. Call a byte a *break* unless it is an ASCII
+/// alphanumeric, `_`, `#` or `.`. Tokens are disjoint, so at most one per
+/// break byte contains a break; a token without one is an identifier that
+/// runs to the end of its maximal run of non-break bytes, so there is at
+/// most one per run, and there are at most `breaks + 1` runs.
+fn max_tokens(line: &str) -> usize {
+    let breaks = line
+        .bytes()
+        .filter(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b'#' | b'.')))
+        .count();
+    2 * breaks + 1
+}
+
 /// Lexes one statement line. Comments (`--` to end of line) are dropped.
-pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok>> {
-    let mut out = Vec::new();
+pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok<'_>>> {
+    let mut out = Vec::with_capacity(max_tokens(line));
     let mut chars = line.char_indices().peekable();
-    let mut push = |token: Token, start: usize, end: usize| {
+    let mut push = |token, start: usize, end: usize| {
         out.push(Tok {
             token,
             span: Span::new(line_no, start as u32, end as u32),
@@ -112,9 +129,12 @@ pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok>> {
             }
             '"' => {
                 chars.next();
-                let mut s = String::new();
+                // The literal borrows the line up to its first escape;
+                // from there on it owns its unescaped text.
+                let body = i + 1;
+                let mut owned: Option<String> = None;
                 let mut closed = false;
-                let mut end = i + 1;
+                let mut end = body;
                 while let Some((j, c)) = chars.next() {
                     end = j + c.len_utf8();
                     match c {
@@ -123,12 +143,17 @@ pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok>> {
                             break;
                         }
                         '\\' => {
+                            let s = owned.get_or_insert_with(|| line[body..j].to_owned());
                             if let Some((k, e)) = chars.next() {
                                 end = k + e.len_utf8();
                                 s.push(e);
                             }
                         }
-                        c => s.push(c),
+                        c => {
+                            if let Some(s) = &mut owned {
+                                s.push(c);
+                            }
+                        }
                     }
                 }
                 if !closed {
@@ -137,7 +162,11 @@ pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok>> {
                         message: format!("col {}: unterminated string literal", i + 1),
                     });
                 }
-                push(Token::Str(s), i, end);
+                let text = match owned {
+                    Some(s) => Cow::Owned(s),
+                    None => Cow::Borrowed(&line[body..end - 1]),
+                };
+                push(Token::Str(text), i, end);
             }
             c if c.is_alphanumeric() || c == '_' || c == '#' || c == '.' || c == '-' => {
                 // Identifiers may contain `-` (functionality names like
@@ -161,7 +190,7 @@ pub fn lex(line: &str, line_no: u32) -> Result<Vec<Tok>> {
                         break;
                     }
                 }
-                push(Token::Ident(line[start..end].to_owned()), start, end);
+                push(Token::Ident(&line[start..end]), start, end);
             }
             other => {
                 return Err(FdbError::Parse {
@@ -179,7 +208,7 @@ mod tests {
     use super::Token::*;
     use super::*;
 
-    fn tokens(line: &str) -> Vec<Token> {
+    fn tokens(line: &str) -> Vec<Token<'_>> {
         lex(line, 1).unwrap().into_iter().map(|t| t.token).collect()
     }
 
@@ -189,18 +218,18 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Ident("DECLARE".into()),
-                Ident("grade".into()),
+                Ident("DECLARE"),
+                Ident("grade"),
                 Colon,
                 LBracket,
-                Ident("student".into()),
+                Ident("student"),
                 Semi,
-                Ident("course".into()),
+                Ident("course"),
                 RBracket,
                 Arrow,
-                Ident("letter_grade".into()),
+                Ident("letter_grade"),
                 LParen,
-                Ident("many-one".into()),
+                Ident("many-one"),
                 RParen,
             ]
         );
@@ -212,13 +241,13 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Ident("DERIVE".into()),
-                Ident("lecturer_of".into()),
+                Ident("DERIVE"),
+                Ident("lecturer_of"),
                 Equals,
-                Ident("class_list".into()),
+                Ident("class_list"),
                 Inverse,
-                Ident("o".into()),
-                Ident("teach".into()),
+                Ident("o"),
+                Ident("teach"),
                 Inverse,
             ]
         );
@@ -226,10 +255,7 @@ mod tests {
 
     #[test]
     fn comments_are_dropped() {
-        assert_eq!(
-            tokens("STATS -- how bad is it?"),
-            vec![Ident("STATS".into())]
-        );
+        assert_eq!(tokens("STATS -- how bad is it?"), vec![Ident("STATS")]);
         assert!(lex("-- whole line comment", 1).unwrap().is_empty());
     }
 
@@ -238,6 +264,14 @@ mod tests {
         let toks = tokens(r#"INSERT teach("Dr. Euclid", math)"#);
         assert_eq!(toks[2], LParen);
         assert_eq!(toks[3], Str("Dr. Euclid".into()));
+        // Without an escape the literal borrows the line…
+        assert!(matches!(&toks[3], Str(Cow::Borrowed(_))));
+        // …and with one it owns its unescaped text.
+        let toks = lex(r#"INSERT teach("say \"hi\"", "a\\b")"#, 1).unwrap();
+        assert_eq!(toks[3].token, Str(r#"say "hi""#.into()));
+        assert!(matches!(&toks[3].token, Str(Cow::Owned(_))));
+        assert_eq!(toks[3].span, Span::new(1, 13, 25));
+        assert_eq!(toks[5].token, Str(r"a\b".into()));
         assert!(matches!(
             lex(r#"INSERT teach("oops, math)"#, 3),
             Err(FdbError::Parse { line: 3, .. })
@@ -247,7 +281,7 @@ mod tests {
     #[test]
     fn numeric_atoms_lex_as_idents() {
         let toks = tokens("INSERT cutoff(85, A)");
-        assert_eq!(toks[3], Ident("85".into()));
+        assert_eq!(toks[3], Ident("85"));
     }
 
     #[test]
@@ -275,7 +309,7 @@ mod tests {
     #[test]
     fn multibyte_identifiers_span_correctly() {
         let toks = lex("QUERY später(x)", 1).unwrap();
-        assert_eq!(toks[1].token, Ident("später".into()));
+        assert_eq!(toks[1].token, Ident("später"));
         // "später" is 7 bytes (ä is 2), starting at byte 6.
         assert_eq!(toks[1].span, Span::new(1, 6, 13));
     }

@@ -42,7 +42,7 @@ pub fn parse_statement(line: &str, line_no: u32) -> Result<Statement> {
 pub fn parse_statement_spanned(line: &str, line_no: u32) -> Result<SpannedStatement> {
     let tokens = lex(line, line_no)?;
     Parser {
-        tokens,
+        tokens: &tokens,
         pos: 0,
         line: line_no,
         spans: StmtSpans {
@@ -53,14 +53,19 @@ pub fn parse_statement_spanned(line: &str, line_no: u32) -> Result<SpannedStatem
     .statement()
 }
 
-struct Parser {
-    tokens: Vec<Tok>,
+/// The longest statement keyword (`DERIVATIONS`) fits with room to spare.
+const KEYWORD_MAX: usize = 16;
+
+/// The cursor over one line's tokens. Tokens borrow the line; each
+/// identifier is copied exactly once, into the owned [`Statement`].
+struct Parser<'t, 'a> {
+    tokens: &'t [Tok<'a>],
     pos: usize,
     line: u32,
     spans: StmtSpans,
 }
 
-impl Parser {
+impl<'t, 'a> Parser<'t, 'a> {
     /// Column of the token at the cursor (or just past the last token when
     /// the line ended early), for error messages.
     fn col_here(&self) -> u32 {
@@ -77,19 +82,19 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&'t Token<'a>> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<&'t Tok<'a>> {
+        let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<Span> {
+    fn expect(&mut self, t: &Token<'_>, what: &str) -> Result<Span> {
         match self.tokens.get(self.pos) {
             Some(got) if &got.token == t => {
                 let span = got.span;
@@ -101,20 +106,19 @@ impl Parser {
         }
     }
 
-    /// An identifier or string literal used as a value or name.
-    fn ident(&mut self, what: &str) -> Result<(String, Span)> {
-        match self.tokens.get(self.pos) {
-            Some(Tok {
-                token: Token::Ident(s) | Token::Str(s),
-                span,
-            }) => {
-                let out = (s.clone(), *span);
-                self.pos += 1;
-                Ok(out)
-            }
-            Some(got) => Err(self.err(format!("expected {what}, found {:?}", got.token))),
-            None => Err(self.err(format!("expected {what}, found end of line"))),
-        }
+    /// An identifier or string literal used as a value or name, borrowed
+    /// from its token.
+    fn ident(&mut self, what: &str) -> Result<(&'t str, Span)> {
+        let Some(got) = self.tokens.get(self.pos) else {
+            return Err(self.err(format!("expected {what}, found end of line")));
+        };
+        let text = match &got.token {
+            Token::Ident(s) => *s,
+            Token::Str(s) => s.as_ref(),
+            other => return Err(self.err(format!("expected {what}, found {other:?}"))),
+        };
+        self.pos += 1;
+        Ok((text, got.span))
     }
 
     /// A type name: an identifier or a bracketed compound `[a; b]`.
@@ -130,17 +134,11 @@ impl Parser {
                 let close = self.expect(&Token::RBracket, "`]`")?;
                 Ok((format!("[{}]", parts.join("; ")), open.merge(close)))
             }
-            _ => self.ident("type name"),
+            _ => {
+                let (s, span) = self.ident("type name")?;
+                Ok((s.to_owned(), span))
+            }
         }
-    }
-
-    fn pair(&mut self) -> Result<((String, Span), (String, Span))> {
-        self.expect(&Token::LParen, "`(`")?;
-        let x = self.ident("value")?;
-        self.expect(&Token::Comma, "`,`")?;
-        let y = self.ident("value")?;
-        self.expect(&Token::RParen, "`)`")?;
-        Ok((x, y))
     }
 
     fn end(&mut self) -> Result<()> {
@@ -153,19 +151,21 @@ impl Parser {
     fn name(&mut self, what: &str) -> Result<String> {
         let (s, span) = self.ident(what)?;
         self.spans.name = Some(span);
-        Ok(s)
+        Ok(s.to_owned())
     }
 
     fn arg(&mut self, what: &str) -> Result<String> {
         let (s, span) = self.ident(what)?;
         self.spans.args.push(span);
-        Ok(s)
+        Ok(s.to_owned())
     }
 
     fn arg_pair(&mut self) -> Result<(String, String)> {
-        let ((x, xs), (y, ys)) = self.pair()?;
-        self.spans.args.push(xs);
-        self.spans.args.push(ys);
+        self.expect(&Token::LParen, "`(`")?;
+        let x = self.arg("value")?;
+        self.expect(&Token::Comma, "`,`")?;
+        let y = self.arg("value")?;
+        self.expect(&Token::RParen, "`)`")?;
         Ok((x, y))
     }
 
@@ -177,12 +177,23 @@ impl Parser {
             });
         };
         self.spans.keyword = first.span;
-        let keyword = match first.token {
-            Token::Ident(s) => s.to_ascii_uppercase(),
+        let word = match &first.token {
+            Token::Ident(s) => *s,
             other => return Err(self.err(format!("expected a keyword, found {other:?}"))),
         };
-        let stmt = match keyword.as_str() {
-            "DECLARE" => {
+        // Upper-case the keyword on the stack; a word too long for the
+        // buffer is no keyword and falls through to the error arm.
+        let mut buf = [0u8; KEYWORD_MAX];
+        let keyword: &[u8] = match buf.get_mut(..word.len()) {
+            Some(upper) => {
+                upper.copy_from_slice(word.as_bytes());
+                upper.make_ascii_uppercase();
+                upper
+            }
+            None => &[],
+        };
+        let stmt = match keyword {
+            b"DECLARE" => {
                 let name = self.name("function name")?;
                 self.expect(&Token::Colon, "`:`")?;
                 let (domain, dspan) = self.type_name()?;
@@ -200,23 +211,23 @@ impl Parser {
                     functionality,
                 }
             }
-            "DERIVE" => {
+            b"DERIVE" => {
                 let name = self.name("function name")?;
                 self.expect(&Token::Equals, "`=`")?;
                 let steps = self.derive_steps()?;
                 Statement::Derive { name, steps }
             }
-            "INSERT" | "INS" => {
+            b"INSERT" | b"INS" => {
                 let function = self.name("function name")?;
                 let (x, y) = self.arg_pair()?;
                 Statement::Insert { function, x, y }
             }
-            "DELETE" | "DEL" => {
+            b"DELETE" | b"DEL" => {
                 let function = self.name("function name")?;
                 let (x, y) = self.arg_pair()?;
                 Statement::Delete { function, x, y }
             }
-            "REPLACE" | "REP" => {
+            b"REPLACE" | b"REP" => {
                 let function = self.name("function name")?;
                 let old = self.arg_pair()?;
                 let (with, _) = self.ident("`WITH`")?;
@@ -226,19 +237,19 @@ impl Parser {
                 let new = self.arg_pair()?;
                 Statement::Replace { function, old, new }
             }
-            "QUERY" => {
+            b"QUERY" => {
                 let function = self.name("function name")?;
                 self.expect(&Token::LParen, "`(`")?;
                 let x = self.arg("value")?;
                 self.expect(&Token::RParen, "`)`")?;
                 Statement::Query { function, x }
             }
-            "TRUTH" => {
+            b"TRUTH" => {
                 let function = self.name("function name")?;
                 let (x, y) = self.arg_pair()?;
                 Statement::Truth { function, x, y }
             }
-            "SHOW" => {
+            b"SHOW" => {
                 // `SHOW TRACE [JSON]` / `SHOW SLOW` vs `SHOW <fn>`:
                 // like EXPLAIN's PLAN/ANALYZE, TRACE and SLOW are only
                 // keywords in exactly those shapes (and `SHOW TRACE`
@@ -265,23 +276,23 @@ impl Parser {
                     },
                 }
             }
-            "DERIVATIONS" => Statement::Derivations {
+            b"DERIVATIONS" => Statement::Derivations {
                 function: self.name("function name")?,
             },
-            "EVAL" => {
+            b"EVAL" => {
                 let x = self.arg("value")?;
                 self.expect(&Token::Colon, "`:`")?;
                 let steps = self.derive_steps()?;
                 Statement::Eval { x, steps }
             }
-            "INVERSE" => {
+            b"INVERSE" => {
                 let function = self.name("function name")?;
                 self.expect(&Token::LParen, "`(`")?;
                 let y = self.arg("value")?;
                 self.expect(&Token::RParen, "`)`")?;
                 Statement::Inverse { function, y }
             }
-            "DUMP" => match self.peek() {
+            b"DUMP" => match self.peek() {
                 // `DUMP TRACE` — flight-recorder dump. Only the bare
                 // ident counts; `DUMP "trace"` still writes a script to
                 // the file named trace.
@@ -296,7 +307,7 @@ impl Parser {
                     path: self.arg("file path")?,
                 },
             },
-            "EXPLAIN" => {
+            b"EXPLAIN" => {
                 // `EXPLAIN PLAN f(x, y)` / `EXPLAIN ANALYZE f(x, y)` vs
                 // plain `EXPLAIN f(x, y)`: PLAN/ANALYZE is only a keyword
                 // when a function name follows it, so a function actually
@@ -323,13 +334,13 @@ impl Parser {
                     Statement::Explain { function, x, y }
                 }
             }
-            "SOURCE" => Statement::Source {
+            b"SOURCE" => Statement::Source {
                 path: self.arg("file path")?,
             },
-            "BEGIN" => Statement::Begin,
-            "COMMIT" => Statement::Commit,
-            "ABORT" => Statement::Abort,
-            "ROLLBACK" => match self.peek() {
+            b"BEGIN" => Statement::Begin,
+            b"COMMIT" => Statement::Commit,
+            b"ABORT" => Statement::Abort,
+            b"ROLLBACK" => match self.peek() {
                 // `ROLLBACK TO name` — partial rollback to a savepoint.
                 Some(Token::Ident(s)) if s.eq_ignore_ascii_case("to") => {
                     self.next();
@@ -339,16 +350,16 @@ impl Parser {
                 }
                 _ => Statement::Abort,
             },
-            "SAVEPOINT" => Statement::Savepoint {
+            b"SAVEPOINT" => Statement::Savepoint {
                 name: self.name("savepoint name")?,
             },
-            "SAVE" => Statement::Save {
+            b"SAVE" => Statement::Save {
                 path: self.arg("file path")?,
             },
-            "LOAD" => Statement::Load {
+            b"LOAD" => Statement::Load {
                 path: self.arg("file path")?,
             },
-            "TIMEOUT" => {
+            b"TIMEOUT" => {
                 let (arg, _) = self.ident("milliseconds or OFF")?;
                 if arg.eq_ignore_ascii_case("OFF") || arg.eq_ignore_ascii_case("NONE") {
                     Statement::Timeout { millis: None }
@@ -361,8 +372,8 @@ impl Parser {
                     }
                 }
             }
-            "SCHEMA" => Statement::Schema,
-            "STATS" => match self.peek() {
+            b"SCHEMA" => Statement::Schema,
+            b"STATS" => match self.peek() {
                 Some(Token::Ident(s)) if s.eq_ignore_ascii_case("reset") => {
                     self.next();
                     Statement::StatsReset
@@ -373,7 +384,7 @@ impl Parser {
                 }
                 _ => Statement::Stats,
             },
-            "TRACE" => {
+            b"TRACE" => {
                 let (arg, _) = self.ident("ON, OFF, or SLOW")?;
                 if arg.eq_ignore_ascii_case("ON") {
                     let sample = match self.peek() {
@@ -412,8 +423,8 @@ impl Parser {
                     return Err(self.err(format!("expected ON, OFF, or SLOW, found `{arg}`")));
                 }
             }
-            "RESOLVE" => Statement::Resolve,
-            "CHECK" => match self.peek() {
+            b"RESOLVE" => Statement::Resolve,
+            b"CHECK" => match self.peek() {
                 Some(Token::Ident(s)) if s.eq_ignore_ascii_case("json") => {
                     self.next();
                     Statement::Check { json: true }
@@ -424,14 +435,14 @@ impl Parser {
                 }
                 _ => Statement::Check { json: false },
             },
-            "DISCOVER" => match self.peek() {
+            b"DISCOVER" => match self.peek() {
                 Some(Token::Ident(s)) if s.eq_ignore_ascii_case("json") => {
                     self.next();
                     Statement::Discover { json: true }
                 }
                 _ => Statement::Discover { json: false },
             },
-            "STRICT" => {
+            b"STRICT" => {
                 let (arg, _) = self.ident("ON or OFF")?;
                 if arg.eq_ignore_ascii_case("ON") {
                     Statement::Strict { on: true }
@@ -441,16 +452,19 @@ impl Parser {
                     return Err(self.err(format!("expected ON or OFF, found `{arg}`")));
                 }
             }
-            "HELP" => Statement::Help,
-            "REPLICA" => {
+            b"HELP" => Statement::Help,
+            b"REPLICA" => {
                 let (word, _) = self.ident("STATUS")?;
                 if !word.eq_ignore_ascii_case("STATUS") {
                     return Err(self.err(format!("expected STATUS, found `{word}`")));
                 }
                 Statement::ReplicaStatus
             }
-            "PROMOTE" => Statement::Promote,
-            other => return Err(self.err(format!("unknown statement `{other}`"))),
+            b"PROMOTE" => Statement::Promote,
+            _ => {
+                let other = word.to_ascii_uppercase();
+                return Err(self.err(format!("unknown statement `{other}`")));
+            }
         };
         self.end()?;
         Ok(SpannedStatement {
@@ -484,7 +498,10 @@ impl Parser {
             false
         };
         self.spans.steps.push(span);
-        Ok(DeriveStep { name, inverse })
+        Ok(DeriveStep {
+            name: name.to_owned(),
+            inverse,
+        })
     }
 }
 

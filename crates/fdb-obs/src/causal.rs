@@ -1,9 +1,9 @@
 //! Causal span tracing with context propagation.
 //!
-//! The flat [`crate::Tracer`] answers *what happened recently*; this
-//! module answers *why*: every recorded moment belongs to a **trace**
-//! (one per sampled statement) and a **span tree** within it, so a
-//! commit's latency can be attributed across the undo journal, the
+//! The crate's one tracing model. It answers both *what happened
+//! recently* and *why*: every recorded moment belongs to a **trace** (one
+//! per sampled statement) and a **span tree** within it, so a commit's
+//! latency can be attributed across the undo journal, the
 //! group-commit convoy fsync, snapshot publication, and replica apply —
 //! the same provenance question the paper's derived-update semantics
 //! asks of data ("which base update caused this derived change"),

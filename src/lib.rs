@@ -17,7 +17,7 @@
 //! * [`check`] — the whole-program static analyzer behind `CHECK`,
 //!   `STRICT` and the `fdb-lint` CLI (typed `FDB0xx` diagnostics);
 //! * [`lang`] — a DAPLEX-flavoured textual front end and REPL;
-//! * [`obs`] — the process-wide metrics registry, structured tracer and
+//! * [`obs`] — the process-wide metrics registry, causal span tracing and
 //!   exporters behind `STATS` and `EXPLAIN ANALYZE`;
 //! * [`relational`] — the Dayal–Bernstein / Fagin–Ullman–Vardi view-update
 //!   baselines the paper compares against;
