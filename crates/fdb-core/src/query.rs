@@ -8,7 +8,7 @@
 //! All derived evaluation routes through the `fdb-exec` plan/execute
 //! pipeline: each derivation is compiled into a cost-based
 //! [`fdb_exec::ChainPlan`] (forward, backward, or meet-in-the-middle) and
-//! run by the batched executor, which preserves the reference
+//! run by the streaming executor, which preserves the reference
 //! interpreter's results, governance semantics, and chain caps exactly.
 
 use fdb_exec::{

@@ -5,9 +5,11 @@
 //! These mirror the reference implementations in `fdb_storage::chain`
 //! result-for-result on complete runs:
 //!
-//! * truth combines per-derivation chain evidence with three-valued OR,
-//!   returns `Complete(True)` early (True is final on the lattice), and
-//!   demotes exactly matching chains covered by an NC;
+//! * truth is a sink on the streaming executor: it combines per-derivation
+//!   chain evidence with three-valued OR, returns `Complete(True)` at the
+//!   first proving chain (True is final on the lattice, so the walk stops
+//!   there), and demotes exactly matching chains covered by an NC, found
+//!   by row index through the chain's own NCLs;
 //! * extension collects non-null endpoint pairs, sorts and dedups, then
 //!   truth-evaluates each pair (a `Cap` during enumeration continues into
 //!   truth evaluation; any other stop is hard and halts pair evaluation);
@@ -18,12 +20,14 @@
 //!   are user-visible in update traces, and the forward (interpreter)
 //!   enumeration order is the canonical order for NC numbering.
 
+use std::ops::ControlFlow;
+
 use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, DerivedPair, Fact, NcId, Store, Truth};
-use fdb_types::{Derivation, Op, Value};
+use fdb_types::{Derivation, MatchKind, Op, Value};
 
-use crate::exec::{chains_planned, chains_with_direction};
+use crate::exec::{chains_planned, chains_with_direction, execute_planned};
 use crate::plan::{Bind, Direction, QuerySpec};
 
 /// §3.2 truth of the derived fact `(x, y)`, evaluated through the
@@ -52,6 +56,11 @@ pub fn derived_truth_governed(
     derived_truth_impl(store, derivations, x, y, limits, governor)
 }
 
+/// The truth sink: walks each derivation's chains and returns at the
+/// first one that proves the fact true. Any other chain lifts the answer
+/// from False to Ambiguous unless an NC on its own rows covers it; once
+/// the answer is Ambiguous only a proof can change it, so coverage is no
+/// longer checked.
 fn derived_truth_impl<G: Governance>(
     store: &Store,
     derivations: &[Derivation],
@@ -61,28 +70,32 @@ fn derived_truth_impl<G: Governance>(
     governor: &G,
 ) -> Outcome<Truth> {
     let mut best = Truth::False;
-    let mut stop: Option<StopReason> = None;
     let spec = QuerySpec::truth(x, y, true);
     for derivation in derivations {
-        let (_, outcome) = chains_planned(store, derivation, &spec, limits, governor);
-        let reason = outcome.reason();
-        for chain in outcome.value() {
-            if chain.proves_true() {
-                // Top of the truth lattice: complete even after a stop.
-                return Outcome::Complete(Truth::True);
+        let mut proved = false;
+        let (_, _, stop) = execute_planned(store, derivation, &spec, limits, governor, |chain| {
+            if chain.matching == MatchKind::Exact && chain.flags == Truth::True {
+                proved = true;
+                return ControlFlow::Break(());
             }
-            if store.chain_covers_some_nc(&chain.facts) {
-                fdb_obs::registry().exec_nc_demotions.inc();
-            } else {
-                best = Truth::Ambiguous;
+            if best == Truth::False {
+                if store.rows_cover_some_nc(chain.members) {
+                    fdb_obs::registry().exec_nc_demotions.inc();
+                } else {
+                    best = Truth::Ambiguous;
+                }
             }
+            ControlFlow::Continue(())
+        });
+        if proved {
+            // Top of the truth lattice: final, so the walk ended there.
+            return Outcome::Complete(Truth::True);
         }
-        if let Some(r) = reason {
-            stop = Some(r);
-            break;
+        if stop.is_some() {
+            return Outcome::new(best, stop);
         }
     }
-    Outcome::new(best, stop)
+    Outcome::Complete(best)
 }
 
 /// The endpoint pair of a completed chain, oriented by the derivation's

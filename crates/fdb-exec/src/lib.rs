@@ -9,10 +9,12 @@
 //!    ([`QuerySpec`]) into a [`ChainPlan`] using [`fdb_storage::TableStats`]
 //!    and O(1) index-width probes — choosing forward, backward (through
 //!    the `by_y` index), or meet-in-the-middle execution.
-//! 2. **Execute** ([`exec`]): run the plan with a batched frontier
-//!    executor that shares chain prefixes through parent pointers and
-//!    preserves the interpreter's `Governance` / [`fdb_storage::ChainLimits`]
-//!    semantics exactly (tick per candidate, charge per chain, exact cap
+//! 2. **Execute** ([`exec`]): run the plan with a streaming frontier
+//!    executor whose nodes borrow the store's rows and share chain
+//!    prefixes through parent pointers. Each chain goes to a sink that may
+//!    stop the walk (truth stops at its first proof), and the
+//!    interpreter's `Governance` / [`fdb_storage::ChainLimits`] semantics
+//!    hold exactly (tick per candidate, charge per chain, exact cap
 //!    detection, prefix-sound partials).
 //! 3. **Cache** ([`cache`]): memoise truth/extension answers keyed by a
 //!    [`SupportSnapshot`] of per-function mutation counters, so only

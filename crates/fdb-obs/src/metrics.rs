@@ -480,7 +480,7 @@ registry! {
         /// Chains emitted per executed chain query.
         exec_chains_per_query => "fdb.exec.chains_per_query",
         /// Frontier nodes materialised per executed chain query (arena
-        /// footprint of the batched executor).
+        /// footprint of the streaming executor).
         exec_frontier_nodes => "fdb.exec.frontier_nodes",
         /// WAL records covered per group fsync (group size: 1 = no
         /// batching win, N = N−1 fsyncs saved).

@@ -237,6 +237,11 @@ impl NcStore {
     ///
     /// Facts are compared structurally (function + pair); a chain never
     /// contains duplicates of the same row, so set semantics suffice.
+    ///
+    /// This scan over every live NC is the reference statement of the
+    /// rule: queries answer it through the NCLs of the chain's own rows
+    /// ([`crate::Store::rows_cover_some_nc`]), and the storage proptests
+    /// check the two agree.
     pub fn chain_covers_some_nc(&self, chain: &[Fact]) -> bool {
         self.iter()
             .any(|(_, nc)| nc.iter().all(|f| chain.contains(f)))

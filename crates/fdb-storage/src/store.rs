@@ -693,25 +693,44 @@ impl Store {
     /// that disqualifies a chain from making a derived fact ambiguous
     /// ([`NcStore::chain_covers_some_nc`] states it over the NC store).
     ///
+    /// Resolves each fact to its row and asks
+    /// [`Store::rows_cover_some_nc`]. A fact that is not stored carries no
+    /// NCL and equals no conjunct (conjuncts are stored rows), so it is
+    /// left out.
+    pub fn chain_covers_some_nc(&self, chain: &[Fact]) -> bool {
+        let rows: Vec<(FunctionId, usize)> = chain
+            .iter()
+            .filter_map(|f| {
+                let t = self.tables.get(f.function.index())?;
+                Some((f.function, t.position(&f.x, &f.y)?))
+            })
+            .collect();
+        self.rows_cover_some_nc(&rows)
+    }
+
+    /// [`Store::chain_covers_some_nc`] for a chain given as live rows
+    /// `(function, row index)`, as the chain executor walks them.
+    ///
     /// Answered through the dual structure of §4: an NC inside the chain
     /// is listed in the NCL of each of its conjuncts, which are rows of
     /// the chain. Only the NCs on the chain's own rows are checked, so
     /// the cost follows those NCLs, not the number of live NCs. (NCs are
-    /// never empty: each negates a chain of at least one fact.)
-    pub fn chain_covers_some_nc(&self, chain: &[Fact]) -> bool {
-        chain.iter().any(|fact| {
-            let Some(t) = self.tables.get(fact.function.index()) else {
-                return false;
-            };
-            t.position(&fact.x, &fact.y)
-                .and_then(|i| t.row(i))
-                .is_some_and(|row| {
-                    row.ncl.iter().any(|&id| {
-                        self.ncs
-                            .get(id)
-                            .is_some_and(|nc| nc.iter().all(|f| chain.contains(f)))
-                    })
-                })
+    /// never empty: each negates a chain of at least one fact.) A conjunct
+    /// is on the chain iff some member row holds its pair: a table stores
+    /// each pair at most once.
+    pub fn rows_cover_some_nc(&self, rows: &[(FunctionId, usize)]) -> bool {
+        let row = |(f, i): (FunctionId, usize)| self.tables.get(f.index())?.row(i);
+        let on_chain = |c: &Fact| {
+            rows.iter().any(|&(f, i)| {
+                f == c.function && row((f, i)).is_some_and(|r| r.x == &c.x && r.y == &c.y)
+            })
+        };
+        rows.iter().any(|&member| {
+            row(member).is_some_and(|r| {
+                r.ncl
+                    .iter()
+                    .any(|&id| self.ncs.get(id).is_some_and(|nc| nc.iter().all(&on_chain)))
+            })
         })
     }
 

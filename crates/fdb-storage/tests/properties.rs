@@ -166,7 +166,8 @@ proptest! {
 
     /// The NCL walk of `Store::chain_covers_some_nc` agrees with the scan
     /// over every live NC (`NcStore::chain_covers_some_nc`) on every
-    /// one- and two-fact chain of stored rows.
+    /// one- and two-fact chain of stored rows, alone and with a fact that
+    /// is not stored.
     #[test]
     fn nc_coverage_via_ncls_matches_the_full_scan(
         ops in proptest::collection::vec(arb_op(), 0..40),
@@ -183,12 +184,16 @@ proptest! {
         let pairs = teach
             .iter()
             .flat_map(|t| class_list.iter().map(move |c| vec![t.clone(), c.clone()]));
+        let absent = Fact::new(CLASS_LIST, "absent", "absent");
         for chain in singles.chain(pairs) {
-            prop_assert_eq!(
-                store.chain_covers_some_nc(&chain),
-                store.ncs().chain_covers_some_nc(&chain),
-                "chain {:?}", chain
-            );
+            let with_absent = [chain.clone(), vec![absent.clone()]].concat();
+            for chain in [chain, with_absent] {
+                prop_assert_eq!(
+                    store.chain_covers_some_nc(&chain),
+                    store.ncs().chain_covers_some_nc(&chain),
+                    "chain {:?}", chain
+                );
+            }
         }
     }
 

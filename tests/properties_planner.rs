@@ -10,9 +10,13 @@
 //!   deduplicated).
 //! * Delete: negating the same derived fact through either path creates
 //!   NCs with the same ids and leaves byte-identical stores.
-//! * Governed truth: a stopped planner run reports a sound *lower
-//!   bound* in the `False < Ambiguous < True` order, and a `Complete`
-//!   outcome equals the ungoverned answer.
+//! * Governed and capped truth: a planner run stopped by its governor or
+//!   by a small `max_chains` reports a sound *lower bound* in the
+//!   `False < Ambiguous < True` order, and a `Complete` outcome equals
+//!   the uncapped, ungoverned answer.
+//!
+//! The random databases carry NVC nulls from derived inserts, NCs from
+//! derived deletes and, in some cases, a second derivation.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,10 +32,19 @@ use fdb::workload::instance_gen::populate;
 /// independently an identity or an inverse (the function's declared
 /// endpoints are flipped so the derivation still types out), populated
 /// with random facts sharing per-type domains so joins actually meet.
+/// In about a third of the cases `top` has a second derivation
+/// `g0 (o g1)`, so truth must combine the evidence of both. Derived
+/// inserts then thread NVC nulls through the first derivation, and
+/// derived deletes add NCs.
 fn random_chain_db(seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let k = rng.gen_range(1..=4usize);
     let inverted: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.5)).collect();
+    let second = if rng.gen_bool(0.35) {
+        rng.gen_range(1..=2usize)
+    } else {
+        0
+    };
     let mut builder = Schema::builder();
     for (i, inv) in inverted.iter().enumerate() {
         let (d, r) = if *inv { (i + 1, i) } else { (i, i + 1) };
@@ -42,7 +55,20 @@ fn random_chain_db(seed: u64) -> Database {
             "many-many",
         );
     }
-    builder = builder.function("top", "v0", &format!("v{k}"), "many-many");
+    let vk = format!("v{k}");
+    match second {
+        1 => builder = builder.function("g0", "v0", &vk, "many-many"),
+        2 => {
+            builder = builder.function("g0", "v0", "w1", "many-many").function(
+                "g1",
+                "w1",
+                &vk,
+                "many-many",
+            );
+        }
+        _ => {}
+    }
+    builder = builder.function("top", "v0", &vk, "many-many");
     let schema = builder.build().expect("generated schema is valid");
     let mut db = Database::new(schema);
     let steps: Vec<Step> = inverted
@@ -57,12 +83,27 @@ fn random_chain_db(seed: u64) -> Database {
             }
         })
         .collect();
+    let mut derivations = vec![Derivation::new(steps).expect("typed chain")];
+    if second > 0 {
+        let steps = (0..second)
+            .map(|i| Step::identity(db.resolve(&format!("g{i}")).expect("declared")))
+            .collect();
+        derivations.push(Derivation::new(steps).expect("typed chain"));
+    }
     let top = db.resolve("top").expect("declared");
-    db.register_derived(top, vec![Derivation::new(steps).expect("typed chain")])
+    db.register_derived(top, derivations)
         .expect("top derivable");
     let facts = rng.gen_range(10..80usize);
     let domain = rng.gen_range(3..12usize);
     populate(&mut db, seed ^ 0x9e37_79b9, facts, domain);
+    // Derived inserts: each new pair gets a chain of fresh nulls, which
+    // match every value ambiguously — the planner must agree on the
+    // ambiguous chains they open, not just on exact ones.
+    for _ in 0..rng.gen_range(0..=3usize) {
+        let x = Value::atom(format!("v0#{}", rng.gen_range(0..14)));
+        let y = Value::atom(format!("{vk}#{}", rng.gen_range(0..14)));
+        db.insert(top, x, y).expect("derived insert");
+    }
     // Sprinkle partial information: derived deletes create NCs, which
     // downgrade some chains to Ambiguous — the planner must agree on
     // those too, not just on all-True instances.
@@ -189,6 +230,45 @@ proptest! {
             );
             if complete {
                 prop_assert_eq!(got, full);
+            }
+        }
+    }
+
+    /// A small chain cap, alone or under a step budget, never overstates
+    /// truth, and a `Complete` outcome equals the uncapped answer.
+    #[test]
+    fn capped_truth_is_a_sound_lower_bound(
+        seed in 0u64..10_000,
+        max_chains in 0usize..4,
+        steps in 0u64..300,
+    ) {
+        let db = random_chain_db(seed);
+        let top = db.resolve("top").expect("declared");
+        let derivations = db.derivations(top).to_vec();
+        let capped = ChainLimits { max_chains };
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x27d4_eb2f);
+        for (x, y) in probes(&db, &mut rng) {
+            let full = fdb::exec::derived_truth(
+                db.store(), &derivations, &x, &y, ChainLimits::default(),
+            );
+            // Budgets of 200 steps and more stand for no step budget.
+            let governor = if steps < 200 {
+                Governor::with_max_steps(steps)
+            } else {
+                Governor::unbounded()
+            };
+            let outcome = fdb::exec::derived_truth_governed(
+                db.store(), &derivations, &x, &y, capped, &governor,
+            );
+            let complete = outcome.is_complete();
+            let got = outcome.value();
+            prop_assert!(
+                rank(got) <= rank(full),
+                "capped {got:?} overstates {full:?} on seed {seed}",
+            );
+            if complete {
+                prop_assert_eq!(got, full, "complete capped truth diverged on seed {}", seed);
             }
         }
     }
